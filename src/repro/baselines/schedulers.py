@@ -26,7 +26,6 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..core.blocking import build_inputs
 from ..core.schedule import BlockPolicy, ExecutionPlan
@@ -161,6 +160,8 @@ def checkmate_plan(graph: LayerGraph, cost: CostModel, capacity: float,
     the backward pass).  No swapping — Checkmate is a pure recompute
     method (Table I).
     """
+    from scipy import optimize  # lazy: keeps scipy off ``import repro``
+
     inputs = build_inputs(graph, cost, capacity)
     u = inputs.num_segments
     # coarsen block granularity until the mandatory boundaries fit: fewer

@@ -42,7 +42,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy import optimize, sparse
 
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACER, TraceContext, span_to_dict
@@ -185,6 +184,8 @@ def solve_ilp(problem: PartitionProblem,
     selects a block transition.  Intended for modest segment counts (the
     cross-validation role); use :func:`solve_dp` at scale.
     """
+    from scipy import optimize, sparse  # lazy: keeps scipy off ``import repro``
+
     u = problem.num_segments
     nodes: List[Tuple[int, int]] = []
     node_id: Dict[Tuple[int, int], int] = {}

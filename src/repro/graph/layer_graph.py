@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 
 class LayerKind(Enum):
     """Operator families with dedicated cost formulas in §III-C."""
@@ -107,13 +105,16 @@ class LayerGraph:
     Layers are stored in the order they were added, which is required to be
     a valid topological order (construction fails otherwise).  That order is
     the "layer index" space KARMA's contiguous blocking operates in.
+    Adjacency is two per-layer name lists: ``_preds[i]`` in input order
+    (a repeated input is one edge), ``_succs[i]`` in consumer order.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._layers: List[LayerSpec] = []
         self._index: Dict[str, int] = {}
-        self._g = nx.DiGraph()
+        self._preds: List[List[str]] = []
+        self._succs: List[List[str]] = []
 
     # -- construction ------------------------------------------------------
 
@@ -127,11 +128,13 @@ class LayerGraph:
                 raise GraphValidationError(
                     f"layer {spec.name!r} depends on unknown layer {src!r} "
                     "(layers must be added in topological order)")
+        preds = list(dict.fromkeys(inputs))
         self._index[spec.name] = len(self._layers)
         self._layers.append(spec)
-        self._g.add_node(spec.name)
-        for src in inputs:
-            self._g.add_edge(src, spec.name)
+        self._preds.append(preds)
+        self._succs.append([])
+        for src in preds:
+            self._succs[self._index[src]].append(spec.name)
         return spec
 
     # -- queries -----------------------------------------------------------
@@ -156,29 +159,31 @@ class LayerGraph:
         return self._layers[self._index[name]]
 
     def predecessors(self, name: str) -> List[str]:
-        return sorted(self._g.predecessors(name), key=self.index_of)
+        return sorted(self._preds[self._index[name]], key=self.index_of)
 
     def successors(self, name: str) -> List[str]:
-        return sorted(self._g.successors(name), key=self.index_of)
+        return list(self._succs[self._index[name]])
 
     def edges(self) -> List[Tuple[str, str]]:
-        return [(u, v) for u, v in self._g.edges()]
-
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        return self._g.copy()
+        """Every data edge, grouped by source in layer order, each
+        source's consumers in the order they were added."""
+        return [(spec.name, v) for spec, succs in zip(self._layers, self._succs)
+                for v in succs]
 
     def validate(self) -> None:
-        """Check DAG-ness and that insertion order is topological."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise GraphValidationError(f"{self.name}: graph has a cycle")
-        for u, v in self._g.edges():
+        """Check that insertion order is topological and every layer
+        past the first is connected.
+
+        Every edge pointing forward in insertion order is also what makes
+        the graph acyclic.
+        """
+        for u, v in self.edges():
             if self._index[u] >= self._index[v]:
                 raise GraphValidationError(
                     f"{self.name}: edge {u!r}->{v!r} violates insertion "
                     "(topological) order")
         for i, spec in enumerate(self._layers):
-            if i > 0 and not list(self._g.predecessors(spec.name)):
+            if i > 0 and not self._preds[i]:
                 raise GraphValidationError(
                     f"{self.name}: layer {spec.name!r} is disconnected")
 
@@ -186,7 +191,7 @@ class LayerGraph:
 
     def skip_edges(self) -> List[Tuple[str, str]]:
         """Edges that jump over at least one layer in index order."""
-        return [(u, v) for u, v in self._g.edges()
+        return [(u, v) for u, v in self.edges()
                 if self._index[v] - self._index[u] > 1]
 
     def skip_span(self, edge: Tuple[str, str]) -> int:
@@ -206,7 +211,7 @@ class LayerGraph:
         KARMA's planner uses this to know how long an activation must stay
         live: U-Net long skips yield consumers far in the expansive path.
         """
-        succ = [self._index[s] for s in self._g.successors(name)]
+        succ = [self._index[s] for s in self._succs[self._index[name]]]
         return max(succ, default=self._index[name])
 
     def canonical_dict(self) -> Dict[str, object]:
@@ -230,8 +235,7 @@ class LayerGraph:
                 }
                 for spec in self._layers
             ],
-            "edges": sorted(
-                [u, v] for u, v in self._g.edges()),
+            "edges": sorted([u, v] for u, v in self.edges()),
         }
 
     def describe(self) -> str:

@@ -33,10 +33,10 @@ lines, one full metrics frame every ``interval_s`` seconds for
 from __future__ import annotations
 
 import json
-import os
 import socketserver
 import threading
 import time
+from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -126,6 +126,7 @@ class PlannerServer:
         self._server: Optional[socketserver.BaseServer] = None
         self._thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
+        self._stop_lock = threading.Lock()
         self._active = 0
         self._active_cond = threading.Condition()
 
@@ -136,8 +137,8 @@ class PlannerServer:
         if self._server is not None:
             return self
         if isinstance(self.address, str):
-            if os.path.exists(self.address):
-                os.unlink(self.address)   # stale socket from a dead daemon
+            # a stale socket from a dead daemon
+            Path(self.address).unlink(missing_ok=True)
             srv: socketserver.BaseServer = _ThreadingUnixServer(
                 self.address, _Handler)
         else:
@@ -190,26 +191,31 @@ class PlannerServer:
         Requests still running after the window are abandoned (counted
         in ``service.drain_timeouts``); ``drain_s=0`` restores the old
         immediate-close behaviour.
+
+        Safe to call concurrently and repeatedly (the ``shutdown`` op's
+        helper thread and the CLI's ``finally`` both do): the first
+        caller tears down, later ones wait for it and return.
         """
-        srv = self._server
-        if srv is None:
-            return
-        srv.shutdown()
-        deadline = time.monotonic() + max(0.0, drain_s)
-        with self._active_cond:
-            while self._active:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    METRICS.counter("service.drain_timeouts").inc()
-                    break
-                self._active_cond.wait(remaining)
-        srv.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if isinstance(self.address, str) and os.path.exists(self.address):
-            os.unlink(self.address)
-        self._server = None
+        with self._stop_lock:
+            srv = self._server
+            if srv is None:
+                return
+            srv.shutdown()
+            deadline = time.monotonic() + max(0.0, drain_s)
+            with self._active_cond:
+                while self._active:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        METRICS.counter("service.drain_timeouts").inc()
+                        break
+                    self._active_cond.wait(remaining)
+            srv.server_close()
+            if self._thread is not None:
+                self._thread.join()
+                self._thread = None
+            if isinstance(self.address, str):
+                Path(self.address).unlink(missing_ok=True)
+            self._server = None
 
     def __enter__(self) -> "PlannerServer":
         return self.start()

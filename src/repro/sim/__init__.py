@@ -12,17 +12,12 @@ from .distributed_sim import (
     simulate_dp_karma_lm,
 )
 from .engine import (
-    OpTable,
-    PortfolioResult,
     ScheduleBuilder,
     SimOp,
     SimResult,
     SimulationDeadlock,
     simulate,
-    simulate_portfolio,
-    simulate_table,
 )
-from .reference_engine import simulate_reference
 from .stall import StallProfile, compare_profiles, stall_profile
 from .zero_model import ZeroConfig, karma_plus_zero_lm, zero_hybrid_lm, zero_min_gpus
 from .trainer_sim import (
@@ -38,9 +33,7 @@ from .trainer_sim import (
 )
 
 __all__ = [
-    "simulate", "simulate_reference", "simulate_table", "OpTable",
-    "simulate_portfolio", "PortfolioResult",
-    "SimOp", "SimResult", "SimulationDeadlock", "ScheduleBuilder",
+    "simulate", "SimOp", "SimResult", "SimulationDeadlock", "ScheduleBuilder",
     "simulate_plan", "compile_plan", "compile_skeleton", "bind_costs",
     "block_costs", "BlockCosts", "LoweringCache",
     "StallProfile", "stall_profile", "compare_profiles",

@@ -18,8 +18,8 @@ behaviour-preserving:
 
 * the ``bisect`` import is hoisted to module level;
 * summary statistics (``resource_busy``/``resource_span``/``makespan``)
-  are accumulated in canonical op order via the shared
-  :func:`~repro.sim.engine.summarize` helper, so float accumulation order
+  are accumulated in canonical op order by :func:`summarize`, the same
+  order :mod:`repro.sim.engine` sums in, so float accumulation order
   cannot differ between the two engines (the per-op timings, which are
   the semantics, are computed exactly as the seed did).
 """
@@ -27,9 +27,31 @@ behaviour-preserving:
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import OpTiming, SimOp, SimResult, SimulationDeadlock, summarize
+from .engine import OpTiming, SimOp, SimResult, SimulationDeadlock
+
+
+def summarize(ops: Sequence[SimOp], timings: Dict[int, OpTiming]) -> SimResult:
+    """Fold per-op timings into a :class:`SimResult`.
+
+    Accumulates in canonical op order so float summary values are
+    identical whichever engine produced ``timings``.
+    """
+    makespan = 0.0
+    busy: Dict[str, float] = {}
+    span: Dict[str, Tuple[float, float]] = {}
+    for op in ops:
+        t = timings[op.op_id]
+        if t.finish > makespan:
+            makespan = t.finish
+        r = op.resource
+        busy[r] = busy.get(r, 0.0) + op.duration
+        lo, hi = span.get(r, (math.inf, -math.inf))
+        span[r] = (min(lo, t.start), max(hi, t.finish))
+    return SimResult(timings=timings, makespan=makespan,
+                     resource_busy=busy, resource_span=span)
 
 
 class _ReferenceMemoryLedger:

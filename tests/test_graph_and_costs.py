@@ -79,6 +79,33 @@ class TestLayerGraph:
         text = small_cnn.describe()
         assert "conv" in text and "loss" in text
 
+    def test_repeated_input_is_one_edge(self):
+        g = LayerGraph("g")
+        g.add_layer(LayerSpec("a", LayerKind.INPUT, (4,), (4,)))
+        g.add_layer(LayerSpec("b", LayerKind.ADD, (4,), (4,)),
+                    inputs=["a", "a"])
+        g.validate()
+        assert g.edges() == [("a", "b")]
+        assert g.predecessors("b") == ["a"]
+        assert g.successors("a") == ["b"]
+
+    def test_edges_grouped_by_source_in_insertion_order(self):
+        g = LayerGraph("g")
+        g.add_layer(LayerSpec("a", LayerKind.INPUT, (4,), (4,)))
+        g.add_layer(LayerSpec("b", LayerKind.RELU, (4,), (4,)),
+                    inputs=["a"])
+        g.add_layer(LayerSpec("c", LayerKind.ADD, (4,), (4,)),
+                    inputs=["b", "a"])
+        g.add_layer(LayerSpec("d", LayerKind.ADD, (4,), (4,)),
+                    inputs=["a", "c"])
+        g.validate()
+        assert g.edges() == [("a", "b"), ("a", "c"), ("a", "d"),
+                             ("b", "c"), ("c", "d")]
+        assert g.predecessors("c") == ["a", "b"]
+        assert g.successors("a") == ["b", "c", "d"]
+        assert g.skip_edges() == [("a", "c"), ("a", "d")]
+        assert g.consumers_after("a") == 3
+
 
 class TestTraversal:
     def test_liveness_horizon_skip(self, small_cnn):

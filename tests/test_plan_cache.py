@@ -17,6 +17,7 @@ from repro.cache import (
 from repro.cli import main as cli_main
 from repro.cli import plan_config
 from repro.core import plan, portfolio_search, solve_blocking
+from repro.core.planner import _digest_inputs
 from repro.costs import profile_graph
 from repro.hardware import (
     TransferModel,
@@ -30,7 +31,7 @@ from repro.hardware.tiering import (
     tiny_test_hierarchy,
     two_tier_hierarchy,
 )
-from repro.models import build
+from repro.models import REGISTRY, build
 from repro.models.builder import GraphBuilder
 from repro.tiering import PlacementError
 
@@ -73,6 +74,39 @@ def digest_of_unet() -> str:
                        knobs={"method": "auto", "recompute": True})
 
 
+def cli_plan_key(name: str, batch: int = 16) -> str:
+    """The plan-cache key ``python -m repro plan --model <name> --batch
+    <batch>`` stores its plan under (default link, no hierarchy)."""
+    graph = build(name)
+    device = v100_sxm2_16gb()
+    transfer = TransferModel(link=karma_swap_link(), device=device,
+                             host=abci_host())
+    cost = profile_graph(graph, device, transfer, batch)
+    return _digest_inputs(graph, batch, device, transfer,
+                          device.usable_memory, None, cost, True, "auto",
+                          64, "auto")
+
+
+#: Cache keys of every registry model at batch 16.  A change to graph
+#: construction or canonicalization that moves one of these orphans every
+#: user's on-disk plan cache, so it must bump ``CACHE_FORMAT_VERSION`` or
+#: ``SOLVER_VERSION`` on purpose and re-pin.
+PINNED_PLAN_KEYS = {
+    "resnet1001":
+        "f600e80d220edad83950f06be6c28f3592ac67f946666af9aabdf0c08edfa7e6",
+    "resnet200":
+        "c474b05d85b2a1d0e02aef611220b7f59de8bfaf99fd687b358e7be7103cecde",
+    "resnet50":
+        "ab17db85b7d59b3eed17ab7f7f6354383f966a3de07a5b1a47825e1dcb27645d",
+    "unet":
+        "c0a96e2d5576b0d17554e581d29cc4886af72cceb05796413d6cee4e05625e71",
+    "vgg16":
+        "24a75337384f31775aacf8cb45d6061bb83abfa870d176edbbcea0bce30d045c",
+    "wrn28_10":
+        "e3ca6fca4560ef34c20fd7b0ba19058ca8bba15ac146fe24a5c3a27d09ac1a04",
+}
+
+
 # --------------------------------------------------------------------------
 # Digests
 # --------------------------------------------------------------------------
@@ -106,6 +140,11 @@ class TestDigest:
                              cwd=str(__import__("pathlib").Path(
                                  __file__).resolve().parent.parent))
         assert out.stdout.strip() == digest_of_unet()
+
+    def test_registry_plan_keys_pinned(self):
+        assert set(PINNED_PLAN_KEYS) == set(REGISTRY)
+        for name, key in PINNED_PLAN_KEYS.items():
+            assert cli_plan_key(name) == key, name
 
     def test_digest_sensitive_to_graph_and_batch(self, tiny_platform):
         graph, device, transfer, _ = tiny_platform
@@ -414,6 +453,19 @@ class TestCli:
         rc = cli_main(["plan", "--manifest", str(manifest),
                        "--cache-dir", str(tmp_path / "cache")])
         assert rc == 1   # failure reported, but the good config planned
+
+    def test_cli_import_skips_heavy_dependencies(self):
+        """``import repro.cli`` (every ``python -m repro`` call) loads
+        neither networkx nor scipy; scipy is imported lazily by the ILP
+        solvers alone."""
+        code = ("import sys; sys.path.insert(0, 'src'); import repro.cli; "
+                "print([m for m in ('networkx', 'scipy') "
+                "if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             cwd=str(__import__("pathlib").Path(
+                                 __file__).resolve().parent.parent))
+        assert out.stdout.strip() == "[]"
 
     def test_cli_no_cache(self, tmp_path, capsys):
         rc = cli_main(["plan", "--model", "unet", "--batch", "16",

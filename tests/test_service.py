@@ -10,6 +10,7 @@ state (merges attached, queue full) and only then releases it.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from typing import Any, Dict, List
@@ -547,6 +548,45 @@ class TestSocketProtocol:
         server.stop()   # idempotent
         daemon.stop()
 
+    def test_concurrent_stop_tears_down_once(self, tmp_path):
+        """The ``shutdown`` op's helper thread and the CLI's ``finally``
+        both call ``stop()``: exactly one tears down, neither raises."""
+        sock = str(tmp_path / "k.sock")
+        daemon = PlannerDaemon(planner=lambda c, n: {"cache": "miss"})
+        daemon.start()
+        server = PlannerServer(daemon, sock).start()
+        assert wait_for_server(sock, timeout=10)
+        srv = server._server
+        assert srv is not None
+        closes: List[int] = []
+        close = srv.server_close
+
+        def counting_close() -> None:
+            closes.append(1)
+            close()
+
+        srv.server_close = counting_close
+        barrier = threading.Barrier(2)
+        errors: List[BaseException] = []
+
+        def stopper() -> None:
+            barrier.wait()
+            try:
+                server.stop()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=stopper) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=15)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and closes == [1]
+        assert not os.path.exists(sock)
+        server.stop()   # a later stop is still a no-op
+        daemon.stop()
+
 
 # ---------------------------------------------------------------------------
 # CLI integration
@@ -581,6 +621,30 @@ class TestServeCli:
         assert main(["serve", "--socket", sock, "--stop"]) == 0
         t.join(timeout=15)
         assert not t.is_alive() and server_rc == [0]
+
+    def test_repeated_serve_plan_shutdown_cycles_exit_cleanly(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        sock = str(tmp_path / "cycle.sock")
+        for cycle in range(3):
+            server_rc: List[int] = []
+
+            def serve():
+                server_rc.append(main([
+                    "serve", "--socket", sock, "--no-cache",
+                    "--service-workers", "1", "--pool-workers", "1"]))
+
+            t = threading.Thread(target=serve, daemon=True)
+            t.start()
+            assert wait_for_server(sock, timeout=15)
+            assert main(["plan", "--model", "unet", "--batch", "8",
+                         "--server", sock]) == 0
+            assert main(["serve", "--socket", sock, "--stop"]) == 0
+            t.join(timeout=15)
+            assert not t.is_alive() and server_rc == [0], f"cycle {cycle}"
+            assert not os.path.exists(sock)
+        assert capsys.readouterr().out.count("tier=cold") == 3
 
     def test_plan_server_rejection_reports_error(self, tmp_path, capsys):
         from repro.cli import main
