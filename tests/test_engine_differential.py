@@ -229,6 +229,19 @@ class TestDifferential:
         with pytest.raises(SimulationDeadlock):
             simulate(ops)
 
+    def test_cycle_deadlocks_both_engines(self):
+        """A cycle found mid-run, behind ops that do complete, with and
+        without a memory ledger: both engines report the deadlock."""
+        ops = [SimOp(0, "gpu", 1.0, mem_acquire=10),
+               SimOp(1, "h2d", 2.0, deps=(0,)),
+               SimOp(2, "gpu", 1.0, deps=(1, 4)),
+               SimOp(3, "d2h", 1.0, deps=(2,)),
+               SimOp(4, "cpu", 1.0, deps=(3,), mem_release=10)]
+        for capacity in (None, 100):
+            for engine in (simulate, simulate_reference):
+                with pytest.raises(SimulationDeadlock):
+                    engine(ops, capacity)
+
     def test_duplicate_and_unknown_ids_rejected(self):
         for engine in (simulate, simulate_reference):
             with pytest.raises(ValueError, match="duplicate"):
