@@ -33,6 +33,7 @@ from ..costs.profiler import CostModel
 from ..graph.layer_graph import LayerGraph
 from ..graph.traversal import checkpoint_boundaries
 from ..hardware.tiering import MemoryHierarchy
+from ..obs.trace import TRACER
 from .schedule import BlockPolicy
 from .solver import (
     AcoConfig,
@@ -219,13 +220,14 @@ def make_problem(inputs: BlockingInputs, max_span: int = 64
     block + uncovered forward swap-out, assuming the earlier block swaps —
     an upper bound that residency assignment later relaxes.
 
-    The problem also carries the vectorized twins the DP's batched inner
-    loop consumes: ``pair_cost_batch`` prices one predecessor block
-    against a whole array of successor ends straight off the numpy
-    prefix-sum arrays.  Every array op is an elementwise subtraction of
-    the same IEEE doubles the scalar path reads, a ``np.maximum``
-    selection, or a multiply by 0.5 — all exactly equal to the scalar
-    results, so both paths relax the DP identically.
+    The problem also carries the vectorized twins the DP consumes:
+    ``pair_cost_batch`` prices an array of predecessor starts against an
+    array of successor ends (one block start ``b``) as a matrix, straight
+    off the numpy prefix-sum arrays.  Every array op is an elementwise
+    subtraction of the same IEEE doubles or int64s the scalar path reads,
+    the same int-to-double division by the swap throughput, a
+    ``np.maximum`` selection, or a multiply by 0.5 — all exactly equal to
+    the scalar results, so both paths relax the DP identically.
     """
     ledger = inputs.ledger_capacity
 
@@ -245,8 +247,10 @@ def make_problem(inputs: BlockingInputs, max_span: int = 64
 
     fw_prefix, bw_prefix, st_prefix = inputs._fw, inputs._bw, inputs._st
 
-    def pair_cost_batch(a: int, b: int, cs: np.ndarray) -> np.ndarray:
-        swap_prev = inputs.swap_time(a, b)
+    def pair_cost_batch(starts: np.ndarray, b: int,
+                        cs: np.ndarray) -> np.ndarray:
+        swap_prev = ((st_prefix[b] - st_prefix[starts])
+                     / inputs.swap_throughput)[:, None]
         bw_next = bw_prefix[cs] - bw_prefix[b]
         fw_next = fw_prefix[cs] - fw_prefix[b]
         return np.maximum(0.0, swap_prev - bw_next) \
@@ -480,7 +484,8 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
     from ..sim.trainer_sim import OutOfCoreInfeasible, simulate_plan
     from ..tiering.placement import PlacementError
 
-    inputs = build_inputs(graph, cost, capacity)
+    with TRACER.span("opt1.build_inputs", "solver"):
+        inputs = build_inputs(graph, cost, capacity)
     u = inputs.num_segments
 
     if fits_without_swapping(inputs):
@@ -513,10 +518,13 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
     # candidate portfolio ----------------------------------------------------
     candidates: List[List[int]] = []
     if method in ("auto", "dp", "aco"):
-        try:
-            candidates.append(solve_dp(problem))
-        except ValueError:
-            pass
+        dp_stats: Dict[str, int] = {}
+        with TRACER.span("opt1.dp", "solver") as sp:
+            try:
+                candidates.append(solve_dp(problem, stats=dp_stats))
+            except ValueError:
+                pass
+            sp.set(**dp_stats)
     if method in ("auto", "aco"):
         candidates.append(list(range(1, u + 1)))  # per-segment fine blocking
         overflow = inputs.seg_stash.sum() / max(1, inputs.ledger_capacity)
@@ -541,9 +549,18 @@ def solve_blocking(graph: LayerGraph, cost: CostModel, capacity: float,
 
     if method in ("auto", "aco"):
         margin, ppol = best_margin, best_ppolicy
-        best_bounds, best_value = local_search(
-            best_bounds, u, lambda bs: evaluator.safe(bs, margin, ppol),
-            problem.block_feasible, max_passes=2)
+        evaluations = 0
+
+        def objective(bs: List[int]) -> float:
+            nonlocal evaluations
+            evaluations += 1
+            return evaluator.safe(bs, margin, ppol)
+
+        with TRACER.span("opt1.local_search", "solver") as sp:
+            best_bounds, best_value = local_search(
+                best_bounds, u, objective, problem.block_feasible,
+                max_passes=2)
+            sp.set(evaluations=evaluations)
     if method == "aco":
         margin, ppol = best_margin, best_ppolicy
         best_bounds, best_value = solve_aco(

@@ -69,15 +69,17 @@ class PartitionProblem:
     first_cost: Callable[[int, int], float]  # cost of the first block
     max_span: int = 64
     #: Optional vectorized twins of ``pair_cost`` / ``block_feasible``.
-    #: ``pair_cost_batch(a, b, cs)`` prices block [a, b) against *every*
-    #: successor end in the array ``cs`` at once; ``block_feasible_batch``
+    #: ``pair_cost_batch(starts, b, cs)`` prices every predecessor block
+    #: ``[a, b)`` for ``a`` in the int array ``starts`` against every
+    #: successor end in the array ``cs`` at once and returns the
+    #: ``(len(starts), len(cs))`` matrix; ``block_feasible_batch(b, cs)``
     #: returns the feasibility mask for ``cs``.  Both must be elementwise
     #: value-identical to their scalar twins (selection/broadcast float
     #: ops only — :func:`solve_dp` relies on exact equality to keep its
-    #: relaxation order, and therefore its answer, unchanged).  When
-    #: absent the DP falls back to the scalar calls.
+    #: tie-breaking, and therefore its answer, unchanged).  When absent
+    #: the DP falls back to the scalar calls.
     pair_cost_batch: Optional[
-        Callable[[int, int, np.ndarray], np.ndarray]] = None
+        Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None
     block_feasible_batch: Optional[
         Callable[[int, np.ndarray], np.ndarray]] = None
 
@@ -87,93 +89,98 @@ class PartitionProblem:
         return range(start + 1, upper + 1)
 
 
-def solve_dp(problem: PartitionProblem) -> List[int]:
+def solve_dp(problem: PartitionProblem,
+             stats: Optional[Dict[str, int]] = None) -> List[int]:
     """Exact shortest path over (prev boundary, cur boundary) states.
 
     Returns the boundary list (exclusive segment end indices, final element
     = num_segments).  Raises ValueError when no feasible partition exists.
 
-    When the problem carries batch hooks (``pair_cost_batch``), each
-    state expansion prices its whole feasible span in one array call
-    instead of ~``max_span`` scalar ``pair_cost`` calls — the relax loop
-    over the ``best`` dict stays scalar (and identical), so the answer
-    is bit-for-bit the same as the scalar path.  Feasible spans depend
-    only on the block start, so they are computed once per start.
+    The state graph is a DAG ordered by block start: state ``(a, b)``
+    (last block ``[a, b)``) only feeds states ``(b, c)`` with ``c > b``.
+    The DP therefore sweeps block starts ``b = 1 .. u-1`` once; every
+    state ending at ``b`` is final before ``b`` is reached, so each
+    reachable state is expanded exactly once.  A successor ``(b, c)`` is
+    relaxed by the predecessors ``(a, b)`` in ascending ``a`` with the
+    rule ``cost < best - 1e-18``: among equal-cost predecessors the
+    smallest ``a`` wins, and among equal-cost final blocks the smallest
+    start wins.
+
+    For each ``b`` the pair costs of every predecessor against every
+    feasible successor end form one matrix: a single ``pair_cost_batch``
+    call when the problem carries the batch hook, else scalar
+    ``pair_cost`` calls (each state's successors priced once, in
+    ascending ``a`` then ``c``).  The hook is elementwise equal to the
+    scalar twin, so both give bit-for-bit the same answer.
+
+    ``stats``, when given, receives ``states_expanded``: the number of
+    reachable states ``(a, b)`` with ``b < u``, each expanded once.
     """
     u = problem.num_segments
     if u <= 0:
         raise ValueError("empty problem")
     INF = math.inf
-
-    # per-start feasible span ends: feasibility of [b, c) is independent
-    # of the previous boundary a, so each start's span survey is shared
-    # by every (a, b) state expanded from it
-    span_cache: Dict[int, Tuple[List[int], np.ndarray]] = {}
     batch_feasible = problem.block_feasible_batch
-
-    def feasible_span(b: int) -> Tuple[List[int], np.ndarray]:
-        hit = span_cache.get(b)
-        if hit is None:
-            if batch_feasible is not None:
-                cs = np.arange(b + 1,
-                               min(u, b + problem.max_span) + 1,
-                               dtype=np.int64)
-                arr = cs[batch_feasible(b, cs)]
-            else:
-                arr = np.asarray([c for c in problem.spans(b)
-                                  if problem.block_feasible(b, c)],
-                                 dtype=np.int64)
-            hit = (arr.tolist(), arr)
-            span_cache[b] = hit
-        return hit
-
-    # best[(a, b)] = min cost of a partition prefix ending with block [a, b)
-    best: Dict[Tuple[int, int], float] = {}
-    parent: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    for b in feasible_span(0)[0]:
-        best[(0, b)] = problem.first_cost(0, b)
-        parent[(0, b)] = None
-    # process states in increasing b, then a (topological for appends)
-    states = sorted(best.keys())
-    queue = list(states)
-    seen = set(states)
-    qi = 0
     pair_cost_batch = problem.pair_cost_batch
     pair_cost = problem.pair_cost
-    while qi < len(queue):
-        a, b = queue[qi]
-        qi += 1
-        if b == u:
+
+    def feasible_span(b: int) -> np.ndarray:
+        # feasibility of [b, c) does not depend on the previous boundary
+        if batch_feasible is not None:
+            cs = np.arange(b + 1, min(u, b + problem.max_span) + 1,
+                           dtype=np.int64)
+            return cs[batch_feasible(b, cs)]
+        return np.asarray([c for c in problem.spans(b)
+                           if problem.block_feasible(b, c)], dtype=np.int64)
+
+    # best[c][a] = min cost of a partition prefix ending with block [a, c);
+    # parent[c][a] = start of the block before [a, c).  Both are filled in
+    # ascending a, because block starts are swept in ascending order.
+    best: List[Dict[int, float]] = [{} for _ in range(u + 1)]
+    parent: List[Dict[int, int]] = [{} for _ in range(u + 1)]
+    for c in feasible_span(0).tolist():
+        best[c][0] = problem.first_cost(0, c)
+    expanded = 0
+    for b in range(1, u):
+        preds = best[b]
+        if not preds:
             continue
-        base = best[(a, b)]
-        cs, cs_arr = feasible_span(b)
-        if not cs:
+        expanded += len(preds)
+        cs = feasible_span(b)
+        if not len(cs):
             continue
+        starts = list(preds)
         if pair_cost_batch is not None:
-            costs = (base + pair_cost_batch(a, b, cs_arr)).tolist()
+            pair = pair_cost_batch(np.array(starts, dtype=np.int64), b, cs)
         else:
-            costs = [base + pair_cost(a, b, c) for c in cs]
-        for c, cost in zip(cs, costs):
-            key = (b, c)
-            if cost < best.get(key, INF) - 1e-18:
-                best[key] = cost
-                parent[key] = (a, b)
-                if key not in seen:
-                    queue.append(key)
-                    seen.add(key)
-                else:
-                    # relaxed an existing state: re-expand it
-                    queue.append(key)
-    finals = [(k, v) for k, v in best.items() if k[1] == u]
+            cs_list = cs.tolist()
+            pair = np.array([[pair_cost(a, b, c) for c in cs_list]
+                             for a in starts], dtype=np.float64)
+        costs = np.array(list(preds.values()))[:, None] + pair
+        cur = np.full(len(cs), INF)
+        arg = np.full(len(cs), -1, dtype=np.int64)
+        for a, row in zip(starts, costs):
+            better = row < cur - 1e-18
+            np.copyto(cur, row, where=better)
+            np.copyto(arg, a, where=better)
+        for c, cost, a in zip(cs.tolist(), cur.tolist(), arg.tolist()):
+            if a >= 0:
+                best[c][b] = cost
+                parent[c][b] = a
+    METRICS.counter("solver.dp_states_expanded").inc(expanded)
+    if stats is not None:
+        stats["states_expanded"] = expanded
+    finals = best[u]
     if not finals:
         raise ValueError("no feasible contiguous partition under the "
                          "memory constraint")
-    key = min(finals, key=lambda kv: kv[1])[0]
-    boundaries: List[int] = []
-    while key is not None:
-        boundaries.append(key[1])
-        key = parent[key]
-    return sorted(boundaries)
+    a = min(finals, key=finals.__getitem__)
+    c = u
+    boundaries = [c]
+    while a > 0:
+        boundaries.append(a)
+        a, c = parent[c][a], a
+    return boundaries[::-1]
 
 
 def solve_ilp(problem: PartitionProblem,
@@ -438,7 +445,7 @@ def _score_combo(task: Tuple[int, Tuple[int, ...], Tuple[object, ...]]
     if sink is None:
         s = _score(evaluate, reject_on, index, cand, combo)  # type: ignore[arg-type]
         return s[0], s[1], s[2], None
-    with TRACER.span(f"opt1.eval[{index}]", "solver", track="sweep",
+    with TRACER.span("opt1.eval", "solver", track="sweep", index=index,
                      boundaries=len(cand)) as sp:
         s = _score(evaluate, reject_on, index, cand, combo)  # type: ignore[arg-type]
         sp.set(value=(None if math.isinf(s[1]) else round(s[1], 9)),
@@ -516,7 +523,7 @@ def portfolio_search(candidates: Sequence[Sequence[int]],
             with TRACER.span("opt1.sweep", "solver", grid=len(grid),
                              workers=1):
                 for index, cand, combo in grid:
-                    with TRACER.span(f"opt1.eval[{index}]", "solver",
+                    with TRACER.span("opt1.eval", "solver", index=index,
                                      boundaries=len(cand)) as sp:
                         s = _score(evaluate, reject_on, index, cand, combo)
                         sp.set(value=(None if math.isinf(s[1])

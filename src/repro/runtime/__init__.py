@@ -10,6 +10,7 @@ streams, prefetched ahead of use and fenced before first use).  See
 
 from .async_executor import AsyncOutOfCoreExecutor, RuntimeTrace
 from .checkpoint import (
+    CheckpointClosedError,
     CheckpointCorruptError,
     CheckpointManager,
     checkpoint_digest,
@@ -33,5 +34,6 @@ __all__ = ["OutOfCoreExecutor", "OutOfCorePlanError", "OutOfCoreTrainer",
            "TransferPacer", "TransferStream", "TransferRequest",
            "StreamSet", "OpRecord", "LINK_RESOURCES",
            "save_checkpoint", "load_checkpoint", "load_checkpoint_full",
-           "CheckpointCorruptError", "CheckpointManager",
+           "CheckpointClosedError", "CheckpointCorruptError",
+           "CheckpointManager",
            "checkpoint_digest"]

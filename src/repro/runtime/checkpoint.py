@@ -40,6 +40,7 @@ from ..obs.metrics import METRICS
 
 __all__ = [
     "CheckpointCorruptError",
+    "CheckpointClosedError",
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_full",
@@ -49,6 +50,14 @@ __all__ = [
 
 #: Archive key holding the content digest (excluded from its own hash).
 _DIGEST_KEY = "__digest__"
+
+
+class CheckpointClosedError(RuntimeError):
+    """:meth:`CheckpointManager.save` on a closed asynchronous manager.
+
+    Its writer thread has stopped, so the archive would never be written
+    and :meth:`CheckpointManager.wait` would block forever on it.
+    """
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -233,6 +242,7 @@ class CheckpointManager:
         self._history: List[Tuple[int, Path]] = []
         self._lock = threading.Lock()
         self._error: Optional[BaseException] = None
+        self._closed = False
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
         if asynchronous:
@@ -264,13 +274,21 @@ class CheckpointManager:
 
         Raises any error a *previous* asynchronous write hit, so storage
         failures surface at the next checkpoint instead of silently
-        dropping archives.
+        dropping archives, and :class:`CheckpointClosedError` when an
+        asynchronous manager is already closed.
         """
         self._raise_pending_error()
         payload = _collect_payload(model, step, extra, copy=True)
         path = self.path_for(step)
         if self.asynchronous:
-            self._queue.put(_Pending(payload, str(path), step))
+            # check and enqueue under the lock close() takes, so no write
+            # can land behind the writer's stop marker
+            with self._lock:
+                if self._closed:
+                    raise CheckpointClosedError(
+                        f"checkpoint manager for {self.directory} is "
+                        f"closed; step {step} was not saved")
+                self._queue.put(_Pending(payload, str(path), step))
         else:
             self._write(_Pending(payload, str(path), step))
         return path
@@ -282,11 +300,18 @@ class CheckpointManager:
         self._raise_pending_error()
 
     def close(self) -> None:
-        """Finish pending writes and stop the writer thread (idempotent)."""
+        """Finish pending writes and stop the writer thread.
+
+        Idempotent and safe to call from several threads at once: the
+        first caller queues the stop marker, and every caller returns
+        only after the writer has drained the queue and exited.
+        """
+        with self._lock:
+            first, self._closed = not self._closed, True
+            if first and self._thread is not None:
+                self._queue.put(self._STOP)
         if self._thread is not None:
-            self._queue.put(self._STOP)
             self._thread.join()
-            self._thread = None
         self._raise_pending_error()
 
     def __enter__(self) -> "CheckpointManager":

@@ -176,8 +176,8 @@ class TestStitchedExport:
         spans = [
             _span("client.plan", 0.0, 4.0),
             _span("service.request", 1.0, 3.0, proc="daemon"),
-            _span("opt1.eval[0]", 1.5, 2.0, proc="worker-9"),
-            _span("opt1.eval[1]", 1.5, 2.0, proc="worker-8"),
+            _span("opt1.eval", 1.5, 2.0, proc="worker-9", index=0),
+            _span("opt1.eval", 1.5, 2.0, proc="worker-8", index=1),
         ]
         events = stitched_trace_events(spans)
         names = {e["args"]["name"]: e["pid"] for e in events
@@ -221,7 +221,7 @@ class TestStitchedExport:
     def test_stitched_document_validates(self):
         spans = [_span("client.plan", 0.0, 3.0),
                  _span("service.request", 1.0, 2.0, proc="daemon"),
-                 _span("opt1.eval[0]", 1.2, 1.8, proc="worker-1")]
+                 _span("opt1.eval", 1.2, 1.8, proc="worker-1", index=0)]
         assert validate_chrome_trace(
             chrome_trace(stitched_trace_events(spans))) == []
 

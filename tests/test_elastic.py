@@ -33,6 +33,7 @@ from repro.elastic.scenario import divisor_worlds
 from repro.hardware import GiB, tiny_test_hierarchy
 from repro.nn import ExecutableModel
 from repro.runtime.checkpoint import (
+    CheckpointClosedError,
     CheckpointCorruptError,
     CheckpointManager,
     checkpoint_digest,
@@ -440,6 +441,54 @@ class TestCheckpointManager:
         mgr = CheckpointManager(str(tmp_path), asynchronous=False)
         with pytest.raises(CheckpointCorruptError, match="no loadable"):
             mgr.restore_latest(self._model())
+
+    def test_concurrent_close_from_two_threads(self, tmp_path):
+        m = self._model()
+        mgr = CheckpointManager(str(tmp_path), interval=1)
+        for s in range(1, 4):
+            mgr.save(m, s)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def closer():
+            barrier.wait()
+            try:
+                mgr.close()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=closer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # both callers returned only after the queued writes landed
+        assert mgr.last_good is not None and mgr.last_good[0] == 3
+        mgr.close()   # a third, late close is a no-op
+
+    def test_save_after_close_raises(self, tmp_path):
+        m = self._model()
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(m, 1)
+        mgr.close()
+        with pytest.raises(CheckpointClosedError, match="step 2"):
+            mgr.save(m, 2)
+        assert not mgr.path_for(2).exists()
+        assert mgr.last_good is not None and mgr.last_good[0] == 1
+
+    def test_wait_after_close_returns(self, tmp_path):
+        m = self._model()
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(m, 1)
+        mgr.close()
+        with pytest.raises(CheckpointClosedError):
+            mgr.save(m, 2)
+        waiter = threading.Thread(target=mgr.wait)
+        waiter.start()
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
 
 
 # --------------------------------------------------------------------------

@@ -432,6 +432,36 @@ class TestInstrumentationNeutrality:
 # Cumulative plan-cache counters (the `cache info` sidecar)
 # ---------------------------------------------------------------------------
 
+class TestOpt1Spans:
+    def test_solve_blocking_phase_spans(self, small_cnn, platform):
+        from repro.core import solve_blocking
+        from repro.costs.profiler import profile_graph
+        from repro.obs.metrics import METRICS
+
+        device, _, transfer = platform
+        cost = profile_graph(small_cnn, device, transfer, 8)
+        cap = cost.persistent_bytes() + int(0.9 * cost.total_activation_bytes)
+        counter = METRICS.counter("solver.dp_states_expanded")
+        before = counter.value
+        TRACER.enable()
+        solve_blocking(small_cnn, cost, cap, small_cnn.name, 8)
+        spans = TRACER.drain()
+        by_name = {}
+        for span in spans:
+            by_name.setdefault(span.name, []).append(span)
+        for name in ("opt1.build_inputs", "opt1.dp", "opt1.sweep",
+                     "opt1.local_search"):
+            assert len(by_name[name]) == 1, name
+        expanded = by_name["opt1.dp"][0].args["states_expanded"]
+        assert expanded > 0
+        assert counter.value - before == expanded
+        assert by_name["opt1.local_search"][0].args["evaluations"] > 0
+        evals = by_name["opt1.eval"]
+        assert sorted(s.args["index"] for s in evals) \
+            == list(range(len(evals)))
+        assert not any(s.name.startswith("opt1.eval[") for s in spans)
+
+
 class TestCumulativeCacheStats:
     def test_flush_and_accumulate_across_instances(self, tmp_path):
         c1 = PlanCache(cache_dir=tmp_path, capacity=4)
